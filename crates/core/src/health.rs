@@ -212,6 +212,26 @@ pub fn checksum_tol<T: Scalar>(rows: usize) -> f64 {
     64.0 * rows as f64 * T::epsilon().to_f64()
 }
 
+/// `sum_i xs[i]^2` in f64 over eight interleaved partial sums. Independent
+/// lanes break the add dependency chain, so the pass runs at load speed
+/// instead of one add latency per element; the order is fixed, so every
+/// backend gets the same bits.
+fn sumsq<T: Scalar>(xs: &[T]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let chunks = xs.chunks_exact(lanes.len());
+    let tail: f64 = chunks
+        .remainder()
+        .iter()
+        .map(|&v| v.to_f64() * v.to_f64())
+        .sum();
+    for chunk in chunks {
+        for (acc, &v) in lanes.iter_mut().zip(chunk) {
+            *acc += v.to_f64() * v.to_f64();
+        }
+    }
+    lanes.iter().sum::<f64>() + tail
+}
+
 /// Per-column `sum_i a[i, j]^2` over rows `row0..` of panel columns
 /// `col0..col0+width` (f64 accumulation) — the pre-factor checksum.
 pub fn panel_col_sumsq<T: Scalar>(
@@ -221,15 +241,7 @@ pub fn panel_col_sumsq<T: Scalar>(
     width: usize,
 ) -> Vec<f64> {
     (0..width)
-        .map(|j| {
-            a.col(col0 + j)[row0..]
-                .iter()
-                .map(|&v| {
-                    let x = v.to_f64();
-                    x * x
-                })
-                .sum()
-        })
+        .map(|j| sumsq(&a.col(col0 + j)[row0..]))
         .collect()
 }
 

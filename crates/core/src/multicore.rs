@@ -250,8 +250,8 @@ pub(crate) fn q_ones_probe_parts<T: Scalar>(
         }
     }
     // Serial over tiles on purpose: per tile this is a few streaming
-    // passes over one cache-resident V block, and the vendored rayon shim
-    // spawns OS threads per call — fan-out would cost more than the work.
+    // passes over one cache-resident V block, which is less work than
+    // waking a parked pool worker to share it.
     let col = ones.col_mut(0);
     for (&tile, wy) in tiles.iter().zip(wy0) {
         let seg = &mut col[tile.start..tile.start + tile.rows];

@@ -18,20 +18,29 @@
 //! - Size classes are powers of two between 2^5 and 2^22 *elements*;
 //!   requests above the largest class fall back to a one-off allocation
 //!   (counted as a miss).
-//! - Thread safety: each thread keeps a small local cache (no locking on
-//!   the fast path); overflow and thread death flush buffers to a global
-//!   mutex-guarded pool, so short-lived rayon workers donate their buffers
-//!   back for the next parallel region to reuse.
+//! - Thread safety: each thread keeps a small local cache behind an
+//!   uncontended lock; overflow and thread death flush buffers to a global
+//!   mutex-guarded pool. The vendored rayon pool keeps its workers for the
+//!   life of the process, so a worker's cache carries over from one
+//!   parallel region to the next. Every cache is registered with its pool,
+//!   so [`poison_pools`] reaches the buffers other threads hold too.
+//! - Provisioning: when a thread's hold on a size class grows to `d`
+//!   buffers, the class is topped up to `d` buffers for every thread that
+//!   may run kernels at once (the larger of `rayon::current_num_threads()`
+//!   and the number of live threads using the arena). A thread only ever
+//!   holds as many buffers as its deepest request needed, so once a
+//!   warm-up has run every kernel shape on *any* thread, no thread has to
+//!   allocate again: zero steady-state misses follow from this rule, not
+//!   from which thread happened to run the warm-up.
 //! - [`stats`] exposes process-wide hit/miss counters per element type;
 //!   a steady-state miss delta of zero is how the benches verify the
 //!   "no per-launch allocation" claim.
 
 use std::alloc::Layout;
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Byte alignment of every arena buffer: one cache line, and wide enough
 /// for aligned AVX-512 loads on packed micro-panels. `Vec<T>` only
@@ -154,44 +163,103 @@ fn local_cap(class: usize) -> usize {
     ((1usize << 21) / class_elems(class)).clamp(2, 8)
 }
 
+/// Lock `m`, recovering the guard if a holder panicked: every critical
+/// section in this module leaves its shelf or cache valid at every step.
+fn lock<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A registered thread cache.
+type SharedCache<T> = Arc<Mutex<LocalCache<T>>>;
+
 /// Process-wide buffer pool for one element type. One static instance per
 /// [`PoolScalar`] impl; all threads share it via short critical sections.
-pub struct Pool<T> {
+pub struct Pool<T: PoolScalar> {
     shelves: [Mutex<Vec<RawBuf<T>>>; NUM_CLASSES],
+    /// Pooled buffers of each class alive anywhere: on a shelf, in a thread
+    /// cache or lent out. Provisioning tops this up.
+    live: [AtomicUsize; NUM_CLASSES],
+    /// Every thread cache, so [`poison_pools`] reaches them all.
+    caches: Mutex<Vec<Weak<Mutex<LocalCache<T>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<T> Pool<T> {
+impl<T: PoolScalar> Pool<T> {
     /// A new, empty pool (const so it can back a `static`).
     pub const fn new() -> Self {
         Self {
             shelves: [const { Mutex::new(Vec::new()) }; NUM_CLASSES],
+            live: [const { AtomicUsize::new(0) }; NUM_CLASSES],
+            caches: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn lock_shelf(&self, class: usize) -> std::sync::MutexGuard<'_, Vec<RawBuf<T>>> {
-        self.shelves[class]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn lock_shelf(&self, class: usize) -> MutexGuard<'_, Vec<RawBuf<T>>> {
+        lock(&self.shelves[class])
     }
 
     fn get_global(&self, class: usize) -> Option<RawBuf<T>> {
         self.lock_shelf(class).pop()
     }
 
+    /// Allocate a fresh buffer of `class`, counted as live.
+    fn birth(&self, class: usize) -> RawBuf<T> {
+        self.live[class].fetch_add(1, Ordering::Relaxed);
+        RawBuf::alloc(class_elems(class), T::POOL_ZERO)
+    }
+
     fn put_global(&self, class: usize, buf: RawBuf<T>) {
         let mut shelf = self.lock_shelf(class);
         if shelf.len() < global_cap(class) {
             shelf.push(buf);
+        } else {
+            // Over cap: drop the buffer (the only place pooled memory is freed).
+            self.live[class].fetch_sub(1, Ordering::Relaxed);
         }
-        // Over cap: drop the buffer (the only place pooled memory is freed).
+    }
+
+    /// Serve a request the thread cache could not, from a thread now
+    /// holding `held` buffers of `class` (this one included). Tops the
+    /// class up to `held` buffers per thread that may run kernels at once,
+    /// then hands out a shelved buffer. Returns the buffer and whether the
+    /// request allocated.
+    fn provision(&self, class: usize, held: usize) -> (RawBuf<T>, bool) {
+        let live_threads = lock(&self.caches)
+            .iter()
+            .filter(|c| c.strong_count() > 0)
+            .count();
+        let threads = live_threads.max(rayon::current_num_threads());
+        let want = held.saturating_mul(threads);
+        // `fetch_max` reserves the deficit, so racing threads never
+        // provision the same buffers twice. The counter publishes no data.
+        let deficit = want.saturating_sub(self.live[class].fetch_max(want, Ordering::Relaxed));
+        if deficit > 0 {
+            for _ in 1..deficit {
+                let spare = RawBuf::alloc(class_elems(class), T::POOL_ZERO);
+                self.put_global(class, spare);
+            }
+            return (RawBuf::alloc(class_elems(class), T::POOL_ZERO), true);
+        }
+        match self.get_global(class) {
+            Some(buf) => (buf, false),
+            None => (self.birth(class), true),
+        }
+    }
+
+    /// A new thread cache, registered for [`poison_pools`].
+    fn register(&self) -> SharedCache<T> {
+        let cache = Arc::new(Mutex::new(LocalCache::new()));
+        let mut caches = lock(&self.caches);
+        caches.retain(|c| c.strong_count() > 0);
+        caches.push(Arc::downgrade(&cache));
+        cache
     }
 }
 
-impl<T> Default for Pool<T> {
+impl<T: PoolScalar> Default for Pool<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -201,13 +269,16 @@ impl<T> Default for Pool<T> {
 /// donates every cached buffer back to the global [`Pool`].
 pub struct LocalCache<T: PoolScalar> {
     shelves: [Vec<RawBuf<T>>; NUM_CLASSES],
+    /// Buffers of each class this thread has taken and not yet returned.
+    held: [usize; NUM_CLASSES],
 }
 
 impl<T: PoolScalar> LocalCache<T> {
-    /// A new, empty cache (const so it can back a `thread_local!`).
+    /// A new, empty cache.
     pub const fn new() -> Self {
         Self {
             shelves: [const { Vec::new() }; NUM_CLASSES],
+            held: [0; NUM_CLASSES],
         }
     }
 }
@@ -248,7 +319,7 @@ macro_rules! impl_pool_scalar {
     ($t:ty, $pool:ident, $cache:ident) => {
         static $pool: Pool<$t> = Pool::new();
         thread_local! {
-            static $cache: RefCell<LocalCache<$t>> = const { RefCell::new(LocalCache::new()) };
+            static $cache: SharedCache<$t> = $pool.register();
         }
         impl PoolScalar for $t {
             const POOL_ZERO: Self = 0.0;
@@ -258,7 +329,7 @@ macro_rules! impl_pool_scalar {
             }
 
             fn with_cache<R>(f: impl FnOnce(&mut LocalCache<Self>) -> R) -> Option<R> {
-                $cache.try_with(|c| f(&mut c.borrow_mut())).ok()
+                $cache.try_with(|c| f(&mut lock(c))).ok()
             }
         }
     };
@@ -297,21 +368,17 @@ impl<T: PoolScalar> Drop for ArenaBuf<T> {
         let Some(class) = self.class else {
             return; // one-off allocation; RawBuf's Drop frees it
         };
-        let buf = std::mem::take(&mut self.buf);
-        let overflow = T::with_cache(|c| {
-            let shelf = &mut c.shelves[class];
-            if shelf.len() < local_cap(class) {
-                shelf.push(buf);
-                None
-            } else {
-                Some(buf)
+        let mut buf = Some(std::mem::take(&mut self.buf));
+        T::with_cache(|c| {
+            c.held[class] = c.held[class].saturating_sub(1);
+            if c.shelves[class].len() < local_cap(class) {
+                c.shelves[class].extend(buf.take());
             }
         });
-        if let Some(Some(buf)) = overflow {
+        // Over the local cap, or thread-local storage already torn down.
+        if let Some(buf) = buf {
             T::pool().put_global(class, buf);
         }
-        // `overflow == None` means TLS teardown raced us; the closure (and
-        // the buffer it owns) is simply dropped, losing one buffer.
     }
 }
 
@@ -337,17 +404,17 @@ pub fn take_dirty<T: PoolScalar>(len: usize) -> ArenaBuf<T> {
             class: None,
         };
     };
-    let cached = T::with_cache(|c| c.shelves[class].pop()).flatten();
-    let buf = match cached.or_else(|| pool.get_global(class)) {
-        Some(buf) => {
-            pool.hits.fetch_add(1, Ordering::Relaxed);
-            buf
-        }
-        None => {
-            pool.misses.fetch_add(1, Ordering::Relaxed);
-            RawBuf::alloc(class_elems(class), T::POOL_ZERO)
-        }
+    let (cached, held) = T::with_cache(|c| {
+        c.held[class] += 1;
+        (c.shelves[class].pop(), c.held[class])
+    })
+    .unwrap_or((None, 1));
+    let (buf, allocated) = match cached {
+        Some(buf) => (buf, false),
+        None => pool.provision(class, held),
     };
+    let counter = if allocated { &pool.misses } else { &pool.hits };
+    counter.fetch_add(1, Ordering::Relaxed);
     debug_assert_eq!(buf.len(), class_elems(class));
     ArenaBuf {
         buf,
@@ -408,32 +475,36 @@ pub fn prewarm<T: PoolScalar>(len: usize, count: usize) -> usize {
     let mut shelf = pool.lock_shelf(class);
     let room = global_cap(class).saturating_sub(shelf.len()).min(count);
     for _ in 0..room {
-        shelf.push(RawBuf::alloc(class_elems(class), T::POOL_ZERO));
+        shelf.push(pool.birth(class));
     }
     room
 }
 
-/// Overwrite every pooled buffer (global pool and this thread's cache) with
-/// `value`. Test hook: poison with NaN or a sentinel, re-run a kernel, and
-/// any read of stale scratch becomes visible in the output.
+/// Overwrite every idle pooled buffer — on the global shelves and in every
+/// thread's cache, rayon workers' included — with `value`. Test hook:
+/// poison with NaN or a sentinel, re-run a kernel, and any read of stale
+/// scratch becomes visible in the output.
 pub fn poison_pools<T: PoolScalar>(value: T) {
-    let pool = T::pool();
-    for class in 0..NUM_CLASSES {
-        for buf in pool.lock_shelf(class).iter_mut() {
-            for x in buf.as_mut_slice() {
-                *x = value;
-            }
+    fn fill<T: Copy>(bufs: &mut [RawBuf<T>], value: T) {
+        for buf in bufs {
+            buf.as_mut_slice().fill(value);
         }
     }
-    T::with_cache(|c| {
-        for shelf in c.shelves.iter_mut() {
-            for buf in shelf.iter_mut() {
-                for x in buf.as_mut_slice() {
-                    *x = value;
-                }
-            }
+    let pool = T::pool();
+    for class in 0..NUM_CLASSES {
+        fill(&mut pool.lock_shelf(class), value);
+    }
+    // Upgrade first, lock after: a cache whose thread exits meanwhile is
+    // dropped here, and its drop takes shelf locks.
+    let caches: Vec<SharedCache<T>> = lock(&pool.caches)
+        .iter()
+        .filter_map(Weak::upgrade)
+        .collect();
+    for cache in caches {
+        for shelf in lock(&cache).shelves.iter_mut() {
+            fill(shelf, value);
         }
-    });
+    }
 }
 
 /// Donate every buffer in this thread's local cache back to the global
